@@ -214,6 +214,7 @@ let decide ?pool ?cache config ~belief ~now ~pending ~make_packet =
        mutates the shared [prepared] record and the cache key digest
        marshals hypothesis state — neither belongs inside a pooled job. *)
     let hyps = Array.of_list hyps in
+    let value = Utility.of_deliveries config.utility ~now in
     let plans = Array.map (fun (h : _ Belief.hypothesis) -> Forward.plan_variant h.Belief.prepared) hyps in
     let digests =
       match cache with
@@ -229,8 +230,7 @@ let decide ?pool ?cache config ~belief ~now ~pending ~make_packet =
       let weight = exp (hyp.Belief.logw -. z) in
       let prepared = plans.(i) in
       let utility_of sends = (* lint:allow R11 -- closure over this hypothesis' prepared model and state *)
-        let outcomes = Forward.run prepared hyp.Belief.state ~sends ~until:t_end in
-        Utility.of_outcomes config.utility ~now outcomes
+        Forward.expected prepared hyp.Belief.state ~sends ~until:t_end ~value
       in
       (* Only the baseline is worth probing: within a burst the sender's
          pending list at wakeup k+1 is exactly candidate 0's send list at

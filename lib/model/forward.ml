@@ -330,8 +330,47 @@ let handle p branch (ev : Mstate.pev) =
   | Mstate.Gate_toggle (id, k) -> handle_toggle p branch id k
   | Mstate.Gate_epoch id -> handle_epoch p branch id
 
+(* Cost-cause counters. Registered on the first rollout made while the
+   registry is enabled, so the names enter the registry -- and other
+   experiments' metric snapshots -- only once a hypothesis is actually
+   rolled forward. An Atomic cell rather than [lazy]: pooled filter jobs
+   may reach it from several domains at once, and [Metrics.counter] is
+   register-or-retrieve, so a racing second registration yields the same
+   handles. *)
+type counters = {
+  forks : Utc_obs.Metrics.counter;
+  merged : Utc_obs.Metrics.counter;
+  cap_drops : Utc_obs.Metrics.counter;
+}
+
+let counters_cell : counters option Atomic.t = Atomic.make None
+
+let record_costs ~forks ~merged ~cap_drops =
+  if Utc_obs.Metrics.enabled () then begin
+    let c =
+      match Atomic.get counters_cell with
+      | Some c -> c
+      | None ->
+        let c =
+          {
+            forks = Utc_obs.Metrics.counter "model.forward.forks";
+            merged = Utc_obs.Metrics.counter "model.forward.merged";
+            cap_drops = Utc_obs.Metrics.counter "model.forward.cap_drops";
+          }
+        in
+        Atomic.set counters_cell (Some c);
+        c
+    in
+    Utc_obs.Metrics.add c.forks forks;
+    Utc_obs.Metrics.add c.merged merged;
+    Utc_obs.Metrics.add c.cap_drops cap_drops
+  end
+
 (* Drop the lightest work branch when the total (in-flight plus finished)
-   exceeds the cap. Linear scan: the cap is large and rarely hit. *)
+   exceeds the cap; a linear scan of the work list. This cap bounds [run]
+   only -- the filter's window since the last wakeup, and the fig2
+   reference rollout. Planner rollouts go through [expected], where
+   [max_branches] bounds the memo instead and nothing is scanned. *)
 let drop_lightest work =
   let lightest = List.fold_left (fun acc b -> Float.min acc b.logw) infinity work in
   let dropped = ref false in
@@ -344,17 +383,22 @@ let drop_lightest work =
       else true)
     work
 
+let inject p ~until ~who st (at, pkt) =
+  if Tb.( <. ) at st.Mstate.now then invalid_arg (who ^ ": send before state time")
+  else if Tb.( >. ) at until then invalid_arg (who ^ ": send after until")
+  else begin
+    let entry = Compiled.entry p.compiled pkt.Packet.flow in
+    Mstate.insert st ~at ~prio:(Evprio.arrival pkt.Packet.flow)
+      (Mstate.Arrive (entry, { Mstate.pkt; survive_p = 1.0 }))
+  end
+
+(* An event past the window: after [until], or at [until] in a priority
+   class the caller's engine had not reached. *)
+let beyond ~until ~until_prio (ev : Mstate.event) =
+  Tb.( >. ) ev.time until || (Tb.( >=. ) ev.time until && ev.prio >= until_prio)
+
 let run ?(until_prio = max_int) p state ~sends ~until =
-  let inject st (at, pkt) =
-    if Tb.( <. ) at st.Mstate.now then invalid_arg "Forward.run: send before state time"
-    else if Tb.( >. ) at until then invalid_arg "Forward.run: send after until"
-    else begin
-      let entry = Compiled.entry p.compiled pkt.Packet.flow in
-      Mstate.insert st ~at ~prio:(Evprio.arrival pkt.Packet.flow)
-        (Mstate.Arrive (entry, { Mstate.pkt; survive_p = 1.0 }))
-    end
-  in
-  let state = List.fold_left inject state sends in
+  let state = List.fold_left (inject p ~until ~who:"Forward.run") state sends in
   let finished = ref [] in
   let finish branch =
     finished :=
@@ -368,6 +412,8 @@ let run ?(until_prio = max_int) p state ~sends ~until =
   let work = ref [ { state; logw = 0.0; deliveries_rev = [] } ] in
   let work_count = ref 1 in
   let finished_count = ref 0 in
+  let forks = ref 0 in
+  let cap_drops = ref 0 in
   let rec loop () =
     match !work with
     | [] -> ()
@@ -380,25 +426,96 @@ let run ?(until_prio = max_int) p state ~sends ~until =
           finish branch;
           incr finished_count
         | ev :: remaining ->
-          if
-            Tb.( >. ) ev.Mstate.time until
-            || (Tb.( >=. ) ev.Mstate.time until && ev.Mstate.prio >= until_prio)
-          then begin
+          if beyond ~until ~until_prio ev then begin
             finish branch;
             incr finished_count
           end
           else begin
             let st = { branch.state with Mstate.pending = remaining; now = ev.Mstate.time } in
             let conts = handle p { branch with state = st } ev.Mstate.ev in
+            let n = List.length conts in
+            if n > 1 then incr forks;
             work := conts @ !work;
-            work_count := !work_count + List.length conts;
+            work_count := !work_count + n;
             while !work_count > 0 && !work_count + !finished_count > p.config.max_branches do
               work := drop_lightest !work;
-              decr work_count
+              decr work_count;
+              incr cap_drops
             done
           end
       in
       loop ()
   in
   loop ();
+  record_costs ~forks:!forks ~merged:0 ~cap_drops:!cap_drops;
   List.rev !finished
+
+(* The deliveries [child] added on top of its parent's [stop] list, oldest
+   first. Children of one [handle] call share the parent's list as their
+   tail, so the walk ends at the first physically equal cell. *)
+let rec fresh_deliveries acc child stop =
+  if child == stop then acc
+  else
+    match child with
+    | [] -> acc
+    | d :: rest -> fresh_deliveries (d :: acc) rest stop
+
+let expected p state ~sends ~until ~value =
+  let state = List.fold_left (inject p ~until ~who:"Forward.expected") state sends in
+  (* Continuation values of fork children, keyed on their canonical
+     state; created on the first fork, so a chain that never forks
+     allocates no table. *)
+  let memo = ref None in
+  let entries = ref 0 in
+  let forks = ref 0 in
+  let merged = ref 0 in
+  let cap_drops = ref 0 in
+  (* Expected value of [branch]'s deliveries so far plus everything after
+     its state, weighted by [exp branch.logw]. A non-forking stretch is a
+     tail call per event, exactly [run]'s single-branch walk. *)
+  let rec walk branch =
+    match branch.state.Mstate.pending with
+    | ev :: remaining when not (beyond ~until ~until_prio:max_int ev) -> (
+      let st = { branch.state with Mstate.pending = remaining; now = ev.Mstate.time } in
+      match handle p { branch with state = st } ev.Mstate.ev with
+      | [ next ] -> walk next
+      | children ->
+        incr forks;
+        let here = exp branch.logw *. value (List.rev branch.deliveries_rev) in
+        List.fold_left
+          (fun acc (child : branch) ->
+            let fresh = fresh_deliveries [] child.deliveries_rev branch.deliveries_rev in
+            acc +. (exp child.logw *. (value fresh +. continuation child.state)))
+          here children)
+    | _ :: _ | [] -> exp branch.logw *. value (List.rev branch.deliveries_rev)
+  and continuation state =
+    let table =
+      match !memo with
+      | Some table -> table
+      | None ->
+        let table = Hashtbl.create 64 in
+        memo := Some table;
+        table
+    in
+    let key = Mstate.canonical state in
+    match Hashtbl.find_opt table key with
+    | Some v ->
+      incr merged;
+      v
+    | None ->
+      if !entries >= p.config.max_branches then begin
+        incr cap_drops;
+        0.0
+      end
+      else begin
+        incr entries;
+        let v = walk { state; logw = 0.0; deliveries_rev = [] } in
+        Hashtbl.replace table key v;
+        v
+      end
+  in
+  (* [0.0 +.] keeps a non-forking rollout bit-identical to summing [run]'s
+     single outcome from zero (it differs only for a -0.0 value). *)
+  let total = 0.0 +. walk { state; logw = 0.0; deliveries_rev = [] } in
+  record_costs ~forks:!forks ~merged:!merged ~cap_drops:!cap_drops;
+  total

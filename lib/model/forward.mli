@@ -1,12 +1,15 @@
 (** Deterministic forking execution of a hypothesized network (§3.2).
 
     Advances an {!Mstate.t} to a target time, injecting the sender's own
-    transmissions, and returns every weighted way the nondeterministic
-    elements could have behaved, together with the packet deliveries each
-    way produces. This one function serves both of the ISender's jobs: the
-    Bayesian filter runs it over the window since the last wakeup and
-    scores each outcome against the observed ACKs, and the planner runs it
-    into the future to price candidate transmission times.
+    transmissions, through every weighted way the nondeterministic
+    elements could have behaved. The ISender's two jobs use two walks over
+    the same transition rules: the Bayesian filter calls {!run}, which
+    returns each way as an outcome with its final state and the packet
+    deliveries it produces, and scores the outcomes against the observed
+    ACKs; the planner calls {!expected}, which prices candidate
+    transmission times as the probability-weighted value of a rollout's
+    deliveries, merging fork children whose states are identical instead
+    of enumerating them.
 
     Nondeterminism policy:
     - [Loss] whose downstream contains no queue ("last mile", as the paper
@@ -19,7 +22,14 @@
       [(1 - exp (-2 epoch / mtts)) / 2]; with [fork_gates = false] they
       are frozen in their current state (certainty-equivalent planning).
     - [Jitter] forks per packet.
-    - Periodic gates are deterministic and never fork. *)
+    - Periodic gates are deterministic and never fork.
+
+    Cost causes are counted in the metrics registry (while it is enabled):
+    [model.forward.forks] (transitions with more than one continuation,
+    both walks), [model.forward.merged] ({!expected} memo hits) and
+    [model.forward.cap_drops] (branches {!run} discarded over
+    [max_branches], plus continuations {!expected} priced at 0 once its
+    memo budget was spent). *)
 
 type config = {
   loss_mode : [ `Likelihood | `Fork ];
@@ -28,8 +38,11 @@ type config = {
   fork_gates : bool;
   epoch : float;  (** Gate decision-epoch length, seconds. *)
   max_branches : int;
-      (** Soft cap on simultaneous branches; beyond it the lightest branch
-          is discarded (its mass is lost; callers renormalize). *)
+      (** Per-call bound on the work of a forking walk. In {!run}: the
+          soft cap on simultaneous branches; beyond it the lightest branch
+          is discarded (its mass is lost; callers renormalize). In
+          {!expected}: the number of distinct fork-child states whose
+          continuation value is computed and memoized. *)
 }
 
 val default_config : config
@@ -80,5 +93,34 @@ val run :
     stops exactly where the ground-truth engine stood when the wakeup
     handler ran — same-instant cross-traffic arrivals that the engine has
     not yet processed stay pending.
+    @raise Invalid_argument on a send before [state.now] or after
+    [until]. *)
+
+val expected :
+  prepared ->
+  Mstate.t ->
+  sends:(Utc_sim.Timebase.t * Utc_net.Packet.t) list ->
+  until:Utc_sim.Timebase.t ->
+  value:(delivery list -> float) ->
+  float
+(** [expected p state ~sends ~until ~value] is
+    [Σ exp logw * value deliveries] over the outcomes [run p state ~sends
+    ~until] would return without a branch cap, computed without
+    enumerating them. [sends] and [until] are as in {!run} (all events at
+    [until] are processed).
+
+    [value] must be additive over concatenation —
+    [value (a @ b) = value a +. value b], up to float rounding, and so
+    [value [] = 0] — and it is applied to consecutive runs of deliveries
+    in time order: a stretch with no fork is summed once, at its end or at
+    the fork that ends it, and each fork child's continuation is valued
+    once per distinct {!Mstate.canonical} state and reused wherever that
+    state recurs within the call.
+
+    A rollout that never forks adds the same floats in the same order as
+    summing [run]'s single outcome from zero, so the two agree bit for
+    bit. Once [max_branches] distinct continuations have been valued, a
+    continuation from a state not seen before contributes 0 (counted in
+    [model.forward.cap_drops]); the result stays deterministic.
     @raise Invalid_argument on a send before [state.now] or after
     [until]. *)

@@ -25,9 +25,3 @@ let of_delivery config ~now (d : Utc_model.Forward.delivery) =
 
 let of_deliveries config ~now deliveries =
   List.fold_left (fun acc d -> acc +. of_delivery config ~now d) 0.0 deliveries
-
-let of_outcomes config ~now outcomes =
-  let term acc (o : Utc_model.Forward.outcome) =
-    acc +. (exp o.logw *. of_deliveries config ~now o.deliveries)
-  in
-  List.fold_left term 0.0 outcomes

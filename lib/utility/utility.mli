@@ -45,7 +45,6 @@ val of_delivery : config -> now:Utc_sim.Timebase.t -> Utc_model.Forward.delivery
 
 val of_deliveries :
   config -> now:Utc_sim.Timebase.t -> Utc_model.Forward.delivery list -> float
-
-val of_outcomes : config -> now:Utc_sim.Timebase.t -> Utc_model.Forward.outcome list -> float
-(** Expected utility across forked outcomes, weighting each by
-    [exp logw]. *)
+(** Sum of {!of_delivery} over the list, in list order. Additive over
+    concatenation, so the planner passes it as {!Utc_model.Forward.expected}'s
+    [value]. *)

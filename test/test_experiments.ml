@@ -176,7 +176,10 @@ let bursty_cross_family () =
   Alcotest.(check bool)
     (Printf.sprintf "identifies link + jitter probability (P=%.3f)" r.E.Families.posterior_on_truth)
     true r.E.Families.map_is_truth;
-  Alcotest.(check int) "no rejections" 0 r.E.Families.rejected_updates
+  Alcotest.(check int) "no rejections" 0 r.E.Families.rejected_updates;
+  (* Seed 17 over 100 s pins the sender's trajectory. *)
+  Alcotest.(check int) "sent" 67 r.E.Families.sent;
+  Alcotest.(check int) "delivered" 63 r.E.Families.delivered
 
 let policy_bridge_comparable () =
   let c = E.Policy_bridge.compare_on_fig3 ~duration:120.0 () in

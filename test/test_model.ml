@@ -299,3 +299,200 @@ let model_extra_suite =
   ]
 
 let suite = suite @ model_extra_suite
+
+(* --- Forward.expected: the planner's merged-state expectation --- *)
+
+module Utility = Utc_utility.Utility
+module Metrics = Utc_obs.Metrics
+
+(* The expectation [Forward.expected] must reproduce: every outcome of
+   [run], summed from zero in [run]'s order. *)
+let expectation_of_run prepared state ~sends ~until ~value =
+  List.fold_left
+    (fun acc (o : Forward.outcome) -> acc +. (exp o.logw *. value o.deliveries))
+    0.0
+    (Forward.run prepared state ~sends ~until)
+
+(* Shapes for the generated models: [forking] elements each fork once per
+   packet crossing them; the others never fork. *)
+let forking_element =
+  QCheck.Gen.(
+    oneof
+      [
+        map2
+          (fun seconds probability -> Topology.jitter ~seconds ~probability)
+          (float_range 0.05 0.6) (float_range 0.05 0.95);
+        (* A loss in front of the shared queue forks whatever the mode. *)
+        map (fun rate -> Topology.loss ~rate) (float_range 0.05 0.6);
+        map3
+          (fun prob a b ->
+            Topology.multipath ~policy:(`Random prob)
+              ~first:(Topology.delay ~seconds:a) ~second:(Topology.delay ~seconds:b) ())
+          (float_range 0.05 0.95) (float_range 0.0 0.4) (float_range 0.0 0.4);
+      ])
+
+let steady_element =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun seconds -> Topology.delay ~seconds) (float_range 0.0 0.4);
+        map2
+          (fun a b ->
+            Topology.multipath ~first:(Topology.delay ~seconds:a) ~second:(Topology.delay ~seconds:b) ())
+          (float_range 0.0 0.4) (float_range 0.0 0.4);
+        return (Topology.jitter ~seconds:0.3 ~probability:0.0);
+      ])
+
+(* Up to two elements placed around a shared station, then a last-mile
+   loss (likelihood-weighted, so it never forks) — primary and cross
+   senders. A forking element after the station forks with deliveries
+   already made by the child that goes straight through. *)
+let model_gen element =
+  QCheck.Gen.(
+    map3
+      (fun (elements, split) (rate_bps, slots) tail_loss ->
+        let pre = List.filteri (fun i _ -> i < split) elements in
+        let post = List.filteri (fun i _ -> i >= split) elements in
+        {
+          Topology.sources = [ Topology.endpoint Flow.Primary; Topology.endpoint Flow.Cross ];
+          shared =
+            Topology.series
+              (pre
+              @ [
+                  Topology.buffer ~capacity_bits:(slots * Packet.default_bits);
+                  Topology.throughput ~rate_bps;
+                ]
+              @ post
+              @ [ Topology.loss ~rate:tail_loss ]);
+        })
+      (pair (list_size (int_range 0 2) element) (int_range 0 2))
+      (pair (float_range 12_000.0 48_000.0) (int_range 1 3))
+      (float_range 0.0 0.3))
+
+let sends_gen =
+  QCheck.Gen.(
+    map
+      (fun picks ->
+        let sorted = List.sort (fun (a, _) (b, _) -> Float.compare a b) picks in
+        List.mapi
+          (fun seq (at, cross) -> pkt ~flow:(if cross then Flow.Cross else Flow.Primary) ~seq ~at ())
+          sorted)
+      (list_size (int_range 1 4) (pair (float_range 0.0 1.0) bool)))
+
+let utility_gen =
+  QCheck.Gen.(
+    map3
+      (fun alpha kappa latency_penalty -> Utility.make ~alpha ~kappa ~latency_penalty ())
+      (float_range 0.0 3.0) (float_range 1.0 60.0) (oneofl [ 0.0; 0.1 ]))
+
+let case_gen element = QCheck.Gen.(triple (model_gen element) sends_gen utility_gen)
+
+let print_case (topology, sends, _) =
+  Printf.sprintf "%d sends over %d nodes" (List.length sends)
+    (Compiled.node_count (Compiled.compile_exn topology))
+
+(* Horizon 4 s: at most two forking elements x four packets is 256
+   leaves, far below the 1024-branch cap, so [run] enumerates exactly. *)
+let rollout (topology, sends, utility) =
+  let prepared, compiled = prepare topology in
+  let state = Mstate.initial ~epoch:1.0 compiled in
+  let value = Utility.of_deliveries utility ~now:0.0 in
+  let outcomes = Forward.run prepared state ~sends ~until:4.0 in
+  ( List.length outcomes,
+    expectation_of_run prepared state ~sends ~until:4.0 ~value,
+    Forward.expected prepared state ~sends ~until:4.0 ~value )
+
+let expected_matches_run_prop =
+  QCheck.Test.make ~name:"expected equals run expectation" ~count:150
+    (QCheck.make ~print:print_case (case_gen forking_element))
+    (fun case ->
+      let leaves, of_run, expected = rollout case in
+      leaves < Forward.default_config.max_branches
+      && Float.abs (expected -. of_run) <= 1e-9 *. Float.max (Float.abs expected) (Float.abs of_run))
+
+let expected_bit_exact_prop =
+  QCheck.Test.make ~name:"expected is bit-exact without forks" ~count:150
+    (QCheck.make ~print:print_case (case_gen steady_element))
+    (fun case ->
+      let leaves, of_run, expected = rollout case in
+      leaves = 1 && Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float of_run))
+
+(* Deltas of the cost-cause counters over [f], with the registry on. *)
+let forward_costs f =
+  let read () =
+    List.map
+      (fun name -> Metrics.count (Metrics.counter ("model.forward." ^ name)))
+      [ "forks"; "merged"; "cap_drops" ]
+  in
+  Metrics.enable ();
+  Fun.protect ~finally:Metrics.disable (fun () ->
+      let before = read () in
+      let result = f () in
+      match List.map2 ( - ) (read ()) before with
+      | [ forks; merged; cap_drops ] -> (result, forks, merged, cap_drops)
+      | _ -> assert false)
+
+(* The bursty-cross shape: a pinger whose packets jitter on their way
+   into the shared queue. *)
+let pinger_jitter_model =
+  {
+    Topology.sources =
+      [
+        Topology.endpoint Flow.Primary;
+        Topology.pinger ~flow:Flow.Cross ~rate_pps:1.0
+          ~access:(Topology.jitter ~seconds:0.3 ~probability:0.4) ();
+      ];
+    shared =
+      Topology.series [ Topology.buffer ~capacity_bits:96_000; Topology.throughput ~rate_bps:24_000.0 ];
+  }
+
+let expected_counts_forks_and_merges () =
+  let prepared, compiled = prepare pinger_jitter_model in
+  let state = Mstate.initial ~epoch:1.0 compiled in
+  let value = Utility.of_deliveries Utility.default ~now:0.0 in
+  let sends = [ pkt ~seq:0 ~at:0.2 (); pkt ~seq:1 ~at:2.2 () ] in
+  let _, forks, merged, cap_drops =
+    forward_costs (fun () -> Forward.expected prepared state ~sends ~until:8.0 ~value)
+  in
+  Alcotest.(check bool) (Printf.sprintf "forks (%d)" forks) true (forks > 0);
+  Alcotest.(check bool) (Printf.sprintf "merged (%d)" merged) true (merged > 0);
+  Alcotest.(check int) "no cap drops" 0 cap_drops;
+  (* The paper's figure 2 hypothesis, priced the planner's way (gates
+     frozen), never forks. *)
+  let prepared, state =
+    Utc_inference.Priors.fig2_hypothesis ~config:Forward.default_config
+      Utc_inference.Priors.paper_truth
+  in
+  let _, forks, _, _ =
+    forward_costs (fun () ->
+        Forward.expected (Forward.plan_variant prepared) state ~sends ~until:47.0 ~value)
+  in
+  Alcotest.(check int) "fig3 hypothesis never forks" 0 forks
+
+let expected_budget_drops () =
+  let config = { Forward.default_config with max_branches = 4 } in
+  let prepared, compiled = prepare ~config pinger_jitter_model in
+  let state = Mstate.initial ~epoch:1.0 compiled in
+  let value = Utility.of_deliveries Utility.default ~now:0.0 in
+  let sends = [ pkt ~seq:0 ~at:0.2 (); pkt ~seq:1 ~at:2.2 () ] in
+  let price () = Forward.expected prepared state ~sends ~until:8.0 ~value in
+  let first, _, _, cap_drops = forward_costs price in
+  let second, _, _, _ = forward_costs price in
+  Alcotest.(check bool) (Printf.sprintf "cap drops (%d)" cap_drops) true (cap_drops > 0);
+  Alcotest.(check bool) "deterministic" true
+    (Int64.equal (Int64.bits_of_float first) (Int64.bits_of_float second));
+  (* With the budget the expectation is a lower bound on the uncapped
+     one: dropped continuations contribute nothing. *)
+  let uncapped, _ = prepare pinger_jitter_model in
+  Alcotest.(check bool) "below uncapped" true
+    (first < Forward.expected uncapped state ~sends ~until:8.0 ~value)
+
+let expected_suite =
+  [
+    QCheck_alcotest.to_alcotest expected_matches_run_prop;
+    QCheck_alcotest.to_alcotest expected_bit_exact_prop;
+    ("expected counts forks and merges", `Quick, expected_counts_forks_and_merges);
+    ("expected budget drops", `Quick, expected_budget_drops);
+  ]
+
+let suite = suite @ expected_suite

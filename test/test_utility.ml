@@ -77,22 +77,31 @@ let of_deliveries_sums () =
   in
   Alcotest.(check (float 1e-9)) "sum" expected (Utility.of_deliveries config ~now:0.0 ds)
 
+(* Expected utility across forked outcomes: a jitter splits one packet
+   0.25 / 0.75 between two delivery times, and the planner's pricing
+   ([Forward.expected] with [of_deliveries]) weights each branch's
+   utility by its probability. *)
+let jitter_rollout () =
+  let compiled =
+    Compiled.compile_exn
+      {
+        Topology.sources = [ Topology.endpoint Flow.Primary ];
+        shared = Topology.jitter ~seconds:1.0 ~probability:0.25;
+      }
+  in
+  (Forward.prepare Forward.default_config compiled, Utc_model.Mstate.initial ~epoch:1.0 compiled)
+
 let of_outcomes_expectation () =
   let config = Utility.make ~kappa:10.0 () in
-  let d = delivery ~sent_at:0.0 ~time:1.0 () in
-  let state =
-    Utc_model.Mstate.initial ~epoch:1.0
-      (Compiled.compile_exn
-         { Topology.sources = [ Topology.endpoint Flow.Primary ]; shared = Topology.series [] })
+  let prepared, state = jitter_rollout () in
+  let send = (0.0, Packet.make ~flow:Flow.Primary ~seq:0 ~sent_at:0.0 ()) in
+  let expected =
+    (0.25 *. Utility.of_delivery config ~now:0.0 (delivery ~sent_at:0.0 ~time:1.0 ()))
+    +. (0.75 *. Utility.of_delivery config ~now:0.0 (delivery ~sent_at:0.0 ~time:0.0 ()))
   in
-  let outcomes =
-    [
-      { Forward.state; logw = log 0.25; deliveries = [ d ] };
-      { Forward.state; logw = log 0.75; deliveries = [] };
-    ]
-  in
-  let expected = 0.25 *. Utility.of_delivery config ~now:0.0 d in
-  Alcotest.(check (float 1e-9)) "weighted" expected (Utility.of_outcomes config ~now:0.0 outcomes)
+  Alcotest.(check (float 1e-9)) "weighted" expected
+    (Forward.expected prepared state ~sends:[ send ] ~until:5.0
+       ~value:(Utility.of_deliveries config ~now:0.0))
 
 let utility_now_shift_prop =
   QCheck.Test.make ~name:"own utility depends only on time - now" ~count:200
@@ -123,8 +132,10 @@ let suite =
 
 let of_outcomes_empty () =
   let config = Utility.make () in
+  let prepared, state = jitter_rollout () in
   Alcotest.(check (float 0.0)) "no outcomes, no utility" 0.0
-    (Utility.of_outcomes config ~now:0.0 [])
+    (Forward.expected prepared state ~sends:[] ~until:5.0
+       ~value:(Utility.of_deliveries config ~now:0.0))
 
 let make_defaults () =
   let config = Utility.make () in
